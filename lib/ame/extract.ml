@@ -94,11 +94,10 @@ let split_paths (facts : Interp.facts) =
             enforced ))
     ([], []) facts.Interp.paths
 
-(* Returns the component model plus the dynamic receiver registrations
-   its code performs (target class, filter). *)
-let extract_component ?(k1 = true) ?(all_methods = false) (apk : Apk.t)
-    (comp : Component.t) :
-    App_model.component_model * (string * Intent_filter.t) list =
+(* Returns the component model, the dynamic receiver registrations its
+   code performs (target class, filter), and the rounds its fixpoint
+   took. *)
+let component ~k1 ~all_methods (apk : Apk.t) (comp : Component.t) =
   let facts = Interp.analyze_component ~k1 ~all_methods apk comp in
   let pkg = Apk.package apk in
   let open_paths, enforced = split_paths facts in
@@ -132,7 +131,12 @@ let extract_component ?(k1 = true) ?(all_methods = false) (apk : Apk.t)
       (fun (target, actions) ->
         ( Option.value ~default:comp.Component.name target,
           Intent_filter.make ~actions () ))
-      facts.Interp.dynamic_filters )
+      facts.Interp.dynamic_filters,
+    facts.Interp.fixpoint_rounds )
+
+let extract_component ?(k1 = true) ?(all_methods = false) apk comp =
+  let cm, registrations, _ = component ~k1 ~all_methods apk comp in
+  (cm, registrations)
 
 module Trace = Separ_obs.Trace
 module Metrics = Separ_obs.Metrics
@@ -143,27 +147,61 @@ let c_components = Metrics.counter "ame.components_extracted"
 let c_intents = Metrics.counter "ame.intent_models"
 let h_extract_ms = Metrics.histogram "ame.extraction_ms"
 
+let h_rounds =
+  Metrics.histogram
+    ~buckets:[| 1.; 2.; 3.; 4.; 6.; 8.; 12.; 16.; 32.; 64.; 128. |]
+    "ame.fixpoint_rounds"
+
+let c_degraded = Metrics.counter "ame.degraded_apps"
+
+exception Degraded of { package : string; component : string; rounds : int }
+
+(* Run [component], turning a diverged fixpoint into [Degraded]: the
+   app then has no model, never one built from non-fixpoint states. *)
+let component_or_degrade ~k1 ~all_methods apk comp =
+  try component ~k1 ~all_methods apk comp
+  with Interp.Diverged { component; rounds } ->
+    let package = Apk.package apk in
+    Metrics.incr c_degraded;
+    Log.warn "ame.degraded"
+      ~fields:
+        [
+          ("package", Trace.Str package);
+          ("component", Trace.Str component);
+          ("rounds", Trace.Int rounds);
+        ];
+    raise (Degraded { package; component; rounds })
+
 (* Extract the full app model; records wall-clock time and app size for
    the Figure 5 experiment.  Each app gets one [ame.extract] span whose
    attributes carry the Figure-5 coordinates (instruction count, number
-   of components/intents). *)
+   of components/intents) and the largest fixpoint round count among its
+   components. *)
 let extract ?(k1 = true) ?(all_methods = false) (apk : Apk.t) : App_model.t =
-  let model, extraction_ms =
+  let (model, rounds), extraction_ms =
     Trace.timed "ame.extract" (fun () ->
         let extracted =
           List.map
-            (extract_component ~k1 ~all_methods apk)
+            (fun comp ->
+              let cm, registrations, rounds =
+                component_or_degrade ~k1 ~all_methods apk comp
+              in
+              Metrics.observe h_rounds (float_of_int rounds);
+              (cm, registrations, rounds))
             apk.Apk.manifest.Manifest.components
+        in
+        let rounds =
+          List.fold_left (fun acc (_, _, r) -> max acc r) 0 extracted
         in
         (* Dynamic receiver registrations observed anywhere in the app are
            attached to the component class they name (or, failing that, to
            the registering component).  SEPAR's formal encoding ignores this
            field — the paper's documented limitation — but baseline tools
            read it. *)
-        let registrations = List.concat_map snd extracted in
+        let registrations = List.concat_map (fun (_, r, _) -> r) extracted in
         let components =
           List.map
-            (fun (cm, _) ->
+            (fun (cm, _, _) ->
               let mine =
                 List.filter_map
                   (fun (tgt, f) ->
@@ -182,16 +220,19 @@ let extract ?(k1 = true) ?(all_methods = false) (apk : Apk.t) : App_model.t =
         Trace.add_attr "size" (Trace.Int (Apk.size apk));
         Trace.add_attr "components" (Trace.Int (List.length components));
         Trace.add_attr "intents" (Trace.Int n_intents);
+        Trace.add_attr "rounds" (Trace.Int rounds);
         Metrics.incr c_apps;
         Metrics.add c_components (List.length components);
         Metrics.add c_intents n_intents;
-        {
-          App_model.am_package = Apk.package apk;
-          am_declared_permissions = apk.Apk.manifest.Manifest.uses_permissions;
-          am_components = components;
-          am_extraction_ms = 0.0;
-          am_size = Apk.size apk;
-        })
+        ( {
+            App_model.am_package = Apk.package apk;
+            am_declared_permissions =
+              apk.Apk.manifest.Manifest.uses_permissions;
+            am_components = components;
+            am_extraction_ms = 0.0;
+            am_size = Apk.size apk;
+          },
+          rounds ))
   in
   Metrics.observe h_extract_ms extraction_ms;
   Log.info "ame.extract"
@@ -200,6 +241,7 @@ let extract ?(k1 = true) ?(all_methods = false) (apk : Apk.t) : App_model.t =
         ("package", Trace.Str model.App_model.am_package);
         ("components", Trace.Int (List.length model.App_model.am_components));
         ("extraction_ms", Trace.Float extraction_ms);
+        ("rounds", Trace.Int rounds);
       ];
   { model with App_model.am_extraction_ms = extraction_ms }
 
@@ -207,7 +249,7 @@ let extract ?(k1 = true) ?(all_methods = false) (apk : Apk.t) : App_model.t =
    multi-value expansion, path/permission splitting, the model record
    itself.  Old cache entries then key under a stale version string and
    degrade to misses. *)
-let version = "ame-v1"
+let version = "ame-v2"
 
 let cache_tier = "ame"
 

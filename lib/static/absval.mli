@@ -3,7 +3,11 @@
     element), intent/array allocation sites, whether it may be the
     component's incoming intent, its taint set, and the permission checks
     whose result it may hold.  All facets join by union; the product is a
-    finite-height lattice. *)
+    finite-height lattice.
+
+    Values are canonical: [str_top] implies [strs] is empty, so string
+    top absorbs every join.  The type is private so that only this
+    module's constructors, which keep that invariant, build values. *)
 
 module SS : Set.S with type elt = string
 
@@ -14,7 +18,7 @@ module IS : Set.S with type elt = int
 (** Cap on tracked string sets before collapsing to top. *)
 val max_strings : int
 
-type t = {
+type t = private {
   strs : SS.t;
   str_top : bool;
   sites : IS.t;
@@ -29,8 +33,16 @@ val str_top : t
 val of_site : int -> t
 val incoming_intent : t
 val of_taints : Separ_android.Resource.t list -> t
+val of_taint_set : RS.t -> t
 val of_perm_check : string -> t
+
+(** [v] with its string facet set to top (and its strings dropped). *)
+val with_str_top : t -> t
+
+(** Least upper bound.  Returns an operand itself (physically) when it
+    already covers the other. *)
 val join : t -> t -> t
+
 val equal : t -> t -> bool
 
 (** Resolved strings; [None] when statically unknown. *)

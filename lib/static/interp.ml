@@ -56,7 +56,16 @@ let fresh_props () =
     extra_taints = RS.empty;
   }
 
-type state = { regs : Absval.t array; result : Absval.t; reach : bool }
+(* The register file is persistent and chunked: [chunk_size] registers
+   per chunk, so writing one register copies one chunk plus the spine.
+   A flat copy of a method's whole register file per instruction would,
+   for methods over 256 registers, allocate every copy directly on the
+   major heap.  Chunks are never mutated once shared, which lets joins
+   and equality skip physically equal chunks. *)
+let chunk_bits = 5
+let chunk_size = 1 lsl chunk_bits
+
+type state = { regs : Absval.t array array; result : Absval.t; reach : bool }
 
 (* Facts reported per component. *)
 type intent_fact = {
@@ -89,6 +98,7 @@ type facts = {
       (* (receiver class, actions) of resolvable dynamic registrations *)
   reads_extra_keys : string list; (* keys read from the incoming intent *)
   analyzed_methods : int;
+  fixpoint_rounds : int; (* rounds the component's fixpoint took *)
 }
 
 type t = {
@@ -107,6 +117,8 @@ type t = {
       (* index-insensitive summary cell per array allocation site *)
   mutable read_keys : SS.t; (* extra keys read from the incoming intent *)
   mutable changed : bool;
+  methods : (string * string, (Ir.meth * Cfg.t) option) Hashtbl.t;
+      (* internal method lookup and CFG, built once per component *)
 }
 
 let create ?(k1 = true) apk =
@@ -124,6 +136,7 @@ let create ?(k1 = true) apk =
     arr_cells = Hashtbl.create 16;
     read_keys = SS.empty;
     changed = false;
+    methods = Hashtbl.create 32;
   }
 
 let site_id t key idx =
@@ -210,12 +223,17 @@ let join_ret t key v =
 let ret_of t key =
   Option.value ~default:Absval.bot (KeyH.find_opt t.rets key)
 
-let is_internal t cls = Apk.find_class t.apk cls <> None
-
 let find_internal_method t cls mtd =
-  match Apk.find_class t.apk cls with
-  | None -> None
-  | Some c -> Ir.find_method c mtd
+  match Hashtbl.find_opt t.methods (cls, mtd) with
+  | Some found -> found
+  | None ->
+      let found =
+        match Apk.find_class t.apk cls with
+        | None -> None
+        | Some c -> Option.map (fun m -> (m, Cfg.make m)) (Ir.find_method c mtd)
+      in
+      Hashtbl.replace t.methods (cls, mtd) found;
+      found
 
 (* Register (or grow) the entry state of an internal method. *)
 let join_entry t key (args : Absval.t list) n_params n_regs =
@@ -241,12 +259,45 @@ let join_entry t key (args : Absval.t list) n_params n_regs =
 
 (* --- the transfer function -------------------------------------------- *)
 
-let get_reg s r = s.regs.(r)
+let get_reg s r = s.regs.(r lsr chunk_bits).(r land (chunk_size - 1))
 
 let set_reg s r v =
-  let regs = Array.copy s.regs in
-  regs.(r) <- v;
-  { s with regs }
+  let c = r lsr chunk_bits and i = r land (chunk_size - 1) in
+  let cells = s.regs.(c) in
+  if cells.(i) == v then s
+  else begin
+    let cells = Array.copy cells in
+    cells.(i) <- v;
+    let regs = Array.copy s.regs in
+    regs.(c) <- cells;
+    { s with regs }
+  end
+
+(* Chunk a flat register file. *)
+let regs_of_array (a : Absval.t array) =
+  let n = Array.length a in
+  Array.init
+    ((n + chunk_size - 1) / chunk_size)
+    (fun c -> Array.sub a (c * chunk_size) (min chunk_size (n - (c * chunk_size))))
+
+(* Pointwise join that returns [a] itself when [b] adds nothing, copying
+   [a] only on the first cell that grows. *)
+let join_cells join a b =
+  if a == b then a
+  else begin
+    let out = ref a in
+    Array.iteri
+      (fun i x ->
+        let j = join x b.(i) in
+        if j != x then begin
+          if !out == a then out := Array.copy a;
+          !out.(i) <- j
+        end)
+      a;
+    !out
+  end
+
+let equal_cells equal a b = a == b || Array.for_all2 equal a b
 
 let handle_intent_op t s op (args : int list) =
   let arg n = get_reg s (List.nth args n) in
@@ -363,26 +414,20 @@ let handle_intent_op t s op (args : int list) =
       let taints =
         if intent.Absval.incoming then RS.add Resource.Icc taints else taints
       in
-      { s with result = { Absval.str_top = true;
-                          strs = SS.empty;
-                          sites = IS.empty;
-                          incoming = false;
-                          taints;
-                          perm_checks = SS.empty } }
+      { s with result = Absval.with_str_top (Absval.of_taint_set taints) }
 
 let handle_invoke t key s idx (mref : Api.method_ref) (args : int list) =
   let arg_vals = List.map (get_reg s) args in
   match Api.classify mref with
   | Api.Source r ->
-      { s with result = { (Absval.of_taints [ r ]) with Absval.str_top = true } }
+      { s with result = Absval.with_str_top (Absval.of_taints [ r ]) }
   | Api.Sink _ -> { s with result = Absval.bot }
   | Api.Icc (Api.Bind_service | Api.Provider_query) ->
       (* binder- and cursor-mediated results: data produced by another
          component, i.e. ICC-sourced *)
       {
         s with
-        result =
-          { (Absval.of_taints [ Resource.Icc ]) with Absval.str_top = true };
+        result = Absval.with_str_top (Absval.of_taints [ Resource.Icc ]);
       }
   | Api.Icc _ -> { s with result = Absval.bot }
   | Api.Intent_op op -> handle_intent_op t s op args
@@ -396,7 +441,7 @@ let handle_invoke t key s idx (mref : Api.method_ref) (args : int list) =
               List.iter
                 (fun mtd ->
                   match find_internal_method t key.kcls mtd with
-                  | Some m ->
+                  | Some (m, _) ->
                       let cb_key = { kcls = key.kcls; kmtd = mtd; kctx = 0 } in
                       join_entry t cb_key [] m.Ir.n_params m.Ir.n_regs
                   | None -> ())
@@ -419,19 +464,16 @@ let handle_invoke t key s idx (mref : Api.method_ref) (args : int list) =
                     Absval.bot perms;
               }
           | None -> { s with result = Absval.bot }))
-  | Api.Other ->
-      if is_internal t mref.Api.cls then begin
-        match find_internal_method t mref.Api.cls mref.Api.mtd with
-        | None -> { s with result = Absval.bot }
-        | Some m ->
-            let ctx = if t.k1 then call_site_id t key idx else 0 in
-            let callee =
-              { kcls = mref.Api.cls; kmtd = mref.Api.mtd; kctx = ctx }
-            in
-            join_entry t callee arg_vals m.Ir.n_params m.Ir.n_regs;
-            { s with result = ret_of t callee }
-      end
-      else { s with result = Absval.bot }
+  | Api.Other -> (
+      match find_internal_method t mref.Api.cls mref.Api.mtd with
+      | None -> { s with result = Absval.bot }
+      | Some (m, _) ->
+          let ctx = if t.k1 then call_site_id t key idx else 0 in
+          let callee =
+            { kcls = mref.Api.cls; kmtd = mref.Api.mtd; kctx = ctx }
+          in
+          join_entry t callee arg_vals m.Ir.n_params m.Ir.n_regs;
+          { s with result = ret_of t callee })
 
 let transfer t key _i instr (s : state) : state =
   if not s.reach then s
@@ -470,104 +512,125 @@ let transfer t key _i instr (s : state) : state =
 
 (* --- fixpoint over all registered methods ------------------------------ *)
 
+(* Joins return the left operand itself when nothing grows, so the
+   worklist's "did the in-state change" test is usually a pointer
+   comparison. *)
+let join_state a b =
+  if not a.reach then b
+  else if not b.reach then a
+  else
+    let regs = join_cells (join_cells Absval.join) a.regs b.regs in
+    let result = Absval.join a.result b.result in
+    if regs == a.regs && result == a.result then a
+    else { regs; result; reach = true }
+
+let equal_state a b =
+  a == b
+  || a.reach = b.reach
+     && ((not a.reach)
+        || Absval.equal a.result b.result
+           && equal_cells (equal_cells Absval.equal) a.regs b.regs)
+
 let state_lattice n_regs : state Dataflow.lattice =
   {
-    bot = { regs = Array.make (max n_regs 1) Absval.bot;
-            result = Absval.bot;
-            reach = false };
-    join =
-      (fun a b ->
-        if not a.reach then b
-        else if not b.reach then a
-        else
-          {
-            regs = Array.init (Array.length a.regs)
-                     (fun i -> Absval.join a.regs.(i) b.regs.(i));
-            result = Absval.join a.result b.result;
-            reach = true;
-          });
-    equal =
-      (fun a b ->
-        a.reach = b.reach
-        && (not a.reach
-           || (Absval.equal a.result b.result
-              && Array.for_all2 Absval.equal a.regs b.regs)));
+    bot =
+      { regs = regs_of_array (Array.make (max n_regs 1) Absval.bot);
+        result = Absval.bot;
+        reach = false };
+    join = join_state;
+    equal = equal_state;
   }
 
-let analyze_method t key (m : Ir.meth) entry_regs : state array =
-  let cfg = Cfg.make m in
-  let lat = state_lattice m.Ir.n_regs in
+(* [entry_regs] is the method's registered entry state, one cell per
+   register ([join_entry] sizes it); chunking copies it. *)
+let analyze_method t key (m : Ir.meth) cfg entry_regs : state array =
   let entry =
-    {
-      regs =
-        Array.init (max m.Ir.n_regs 1) (fun i ->
-            if i < Array.length entry_regs then entry_regs.(i) else Absval.bot);
-      result = Absval.bot;
-      reach = true;
-    }
+    { regs = regs_of_array entry_regs; result = Absval.bot; reach = true }
   in
-  Dataflow.forward lat ~entry ~transfer:(transfer t key) cfg
+  Dataflow.forward (state_lattice m.Ir.n_regs) ~entry ~transfer:(transfer t key)
+    cfg
+
+exception Diverged of { component : string; rounds : int }
+
+(* Every facet of {!Absval} is drawn from a finite set and string top is
+   canonical, so the lattice has finite height; the global cells (entry
+   states, return values, fields, array cells, intent properties) only
+   grow, and each round either grows one of them or ends the loop.  The
+   loop therefore terminates; this bound only turns a broken monotonicity
+   argument into an error instead of a silent truncation. *)
+let max_rounds = 1000
+
+(* One round-robin pass: re-analyze every registered method against the
+   current global cells, recording its in-states in [states]. *)
+let round t states =
+  t.changed <- false;
+  let keys = KeyH.fold (fun k _ acc -> k :: acc) t.entries [] in
+  List.iter
+    (fun key ->
+      match find_internal_method t key.kcls key.kmtd with
+      | None -> ()
+      | Some (m, cfg) ->
+          let entry_regs = KeyH.find t.entries key in
+          KeyH.replace states key (analyze_method t key m cfg entry_regs))
+    keys
 
 (* Run the global fixpoint from the given roots.  Returns the final
-   in-states per method key. *)
-let run t (roots : (key * Ir.meth * Absval.t array) list) =
+   in-states per method key and the number of rounds taken (the last
+   round is the one that changed nothing). *)
+let run ~component t (roots : (key * Ir.meth * Absval.t array) list) =
   List.iter
     (fun (key, m, entry_regs) ->
       join_entry t key (Array.to_list entry_regs) m.Ir.n_params m.Ir.n_regs)
     roots;
   let states = KeyH.create 16 in
-  let rounds = ref 0 in
-  let continue = ref true in
-  while !continue && !rounds < 100 do
-    incr rounds;
-    t.changed <- false;
-    let keys = KeyH.fold (fun k _ acc -> k :: acc) t.entries [] in
-    List.iter
-      (fun key ->
-        match find_internal_method t key.kcls key.kmtd with
-        | None -> ()
-        | Some m ->
-            let entry_regs = KeyH.find t.entries key in
-            let st = analyze_method t key m entry_regs in
-            KeyH.replace states key st)
-      keys;
-    if not t.changed then continue := false
-  done;
-  states
+  let rec loop rounds =
+    if rounds >= max_rounds then raise (Diverged { component; rounds });
+    round t states;
+    if t.changed then loop (rounds + 1) else rounds + 1
+  in
+  let rounds = loop 0 in
+  (states, rounds)
 
 (* --- post-pass: fact extraction ---------------------------------------- *)
 
-(* Permissions whose dynamic check guards instruction [idx]: cutting the
-   "granted" edges of every conditional branching on that permission's
-   check result makes [idx] unreachable. *)
-let guards_of_instr (states : state array) (cfg : Cfg.t) idx =
-  let n = Cfg.n_instrs cfg in
+(* The permission guards of one analysed method: for each permission
+   whose check result some reached branch tests, the instructions still
+   reachable once the "granted" edges of every branch on that check are
+   cut.  A permission guards instruction [idx] when cutting its granted
+   edges makes [idx] unreachable. *)
+let guard_table (states : state array) (cfg : Cfg.t) =
   let perms = ref SS.empty in
-  for i = 0 to n - 1 do
+  for i = 0 to Cfg.n_instrs cfg - 1 do
     match Cfg.instr cfg i with
     | Ir.If_eqz (r, _) | Ir.If_nez (r, _) ->
         if states.(i).reach then
-          perms := SS.union !perms states.(i).regs.(r).Absval.perm_checks
+          perms := SS.union !perms (get_reg states.(i) r).Absval.perm_checks
     | _ -> ()
   done;
-  SS.fold
-    (fun perm acc ->
-      let labels = Ir.label_table cfg.Cfg.meth in
-      let cut i j =
-        match Cfg.instr cfg i with
-        | Ir.If_eqz (r, _) when SS.mem perm states.(i).regs.(r).Absval.perm_checks
-          ->
-            (* jumps away when denied; granted path is the fall-through *)
-            j = i + 1
-        | Ir.If_nez (r, l) when SS.mem perm states.(i).regs.(r).Absval.perm_checks
-          ->
-            (* jumps when granted *)
-            j = Hashtbl.find labels l
-        | _ -> false
-      in
-      let reach = Cfg.reachable ~cut cfg in
-      if not reach.(idx) then SS.add perm acc else acc)
-    !perms SS.empty
+  if SS.is_empty !perms then []
+  else begin
+    let labels = Ir.label_table cfg.Cfg.meth in
+    SS.fold
+      (fun perm acc ->
+        let checks i r = SS.mem perm (get_reg states.(i) r).Absval.perm_checks in
+        let cut i j =
+          match Cfg.instr cfg i with
+          | Ir.If_eqz (r, _) when checks i r ->
+              (* jumps away when denied; granted path is the fall-through *)
+              j = i + 1
+          | Ir.If_nez (r, l) when checks i r ->
+              (* jumps when granted *)
+              j = Hashtbl.find labels l
+          | _ -> false
+        in
+        (perm, Cfg.reachable ~cut cfg) :: acc)
+      !perms []
+  end
+
+let guards_at table idx =
+  List.fold_left
+    (fun acc (perm, reach) -> if reach.(idx) then acc else SS.add perm acc)
+    SS.empty table
 
 let intent_fact_of_site p icc =
   {
@@ -601,7 +664,7 @@ let forwarded_intent_fact icc =
     if_forwards_incoming = true;
   }
 
-let extract_facts t (states : (key, state array) KeyH.t) : facts =
+let extract_facts t (states : (key, state array) KeyH.t) ~rounds : facts =
   let intents = ref [] in
   let paths = ref [] in
   let uses = ref SS.empty in
@@ -624,6 +687,19 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
       (fun k _ acc -> if k.kcls = ccls && k.kmtd = cmtd then k :: acc else acc)
       states []
   in
+  (* One guard table per analysed method state, built on first use. *)
+  let guard_tables = KeyH.create 16 in
+  let guards_of_instr key st cfg idx =
+    let table =
+      match KeyH.find_opt guard_tables key with
+      | Some table -> table
+      | None ->
+          let table = guard_table st cfg in
+          KeyH.replace guard_tables key table;
+          table
+    in
+    guards_at table idx
+  in
   let entry_guard_memo = Hashtbl.create 16 in
   let rec entry_guards key =
     match Hashtbl.find_opt entry_guard_memo key with
@@ -638,8 +714,7 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
             | Some (ccls, cmtd, idx) -> (
                 match find_internal_method t ccls cmtd with
                 | None -> SS.empty
-                | Some m ->
-                    let cfg = Cfg.make m in
+                | Some (_, cfg) ->
                     (* the callee is guarded only if every calling context
                        guards the call site *)
                     let caller_keys = caller_keys_of ccls cmtd in
@@ -649,7 +724,7 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
                           match KeyH.find_opt states ck with
                           | Some st ->
                               SS.union
-                                (guards_of_instr st cfg idx)
+                                (guards_of_instr ck st cfg idx)
                                 (entry_guards ck)
                           | None -> SS.empty
                         in
@@ -666,8 +741,7 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
     (fun key st ->
       match find_internal_method t key.kcls key.kmtd with
       | None -> ()
-      | Some m ->
-          let cfg = Cfg.make m in
+      | Some (m, cfg) ->
           Array.iteri
             (fun idx instr ->
               if idx < Array.length st && st.(idx).reach then
@@ -681,7 +755,7 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
                         let guards =
                           SS.elements
                             (SS.union
-                               (guards_of_instr st cfg idx)
+                               (guards_of_instr key st cfg idx)
                                (entry_guards key))
                         in
                         List.iter
@@ -715,7 +789,7 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
                             let guards =
                               SS.elements
                                 (SS.union
-                                   (guards_of_instr st cfg idx)
+                                   (guards_of_instr key st cfg idx)
                                    (entry_guards key))
                             in
                             IS.iter
@@ -745,6 +819,7 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
     dynamic_filters = List.rev !dyn_filters;
     reads_extra_keys = SS.elements t.read_keys;
     analyzed_methods = KeyH.length states;
+    fixpoint_rounds = rounds;
   }
 
 let empty_facts =
@@ -756,19 +831,19 @@ let empty_facts =
     dynamic_filters = [];
     reads_extra_keys = [];
     analyzed_methods = 0;
+    fixpoint_rounds = 0;
   }
 
-(* Analyze one component of the app: run the fixpoint from its lifecycle
-   entry points and extract facts.  With [all_methods], every method of
-   the component class is treated as a root — i.e. no entry-point
-   reachability pruning, the behaviour of baseline tools that analyze
-   whole classes (facts in dead code are then reported). *)
-let analyze_component ?(k1 = true) ?(all_methods = false) apk
-    (comp : Component.t) : facts =
-  let t = create ~k1 apk in
+(* Run the fixpoint of one component from its lifecycle entry points.
+   With [all_methods], every method of the component class is treated as
+   a root — i.e. no entry-point reachability pruning, the behaviour of
+   baseline tools that analyze whole classes (facts in dead code are then
+   reported).  [None] when the app has no class for the component. *)
+let solve ~k1 ~all_methods apk (comp : Component.t) =
   match Apk.component_class apk comp with
-  | None -> empty_facts
+  | None -> None
   | Some cls ->
+      let t = create ~k1 apk in
       let root_of (m : Ir.meth) =
         let key = { kcls = cls.Ir.cname; kmtd = m.Ir.mname; kctx = 0 } in
         let entry_regs = Array.make (max m.Ir.n_regs 1) Absval.bot in
@@ -782,5 +857,29 @@ let analyze_component ?(k1 = true) ?(all_methods = false) apk
             (fun entry -> Option.map root_of (Ir.find_method cls entry))
             (Apk.entry_methods comp.Component.kind)
       in
-      let states = run t roots in
-      extract_facts t states
+      let states, rounds = run ~component:comp.Component.name t roots in
+      Some (t, states, rounds)
+
+let analyze_component ?(k1 = true) ?(all_methods = false) apk comp : facts =
+  match solve ~k1 ~all_methods apk comp with
+  | None -> empty_facts
+  | Some (t, states, rounds) -> extract_facts t states ~rounds
+
+(* Re-run one round over the converged states: a fixpoint changes no
+   global cell and reproduces every method's in-states. *)
+let check_fixpoint ?(k1 = true) ?(all_methods = false) apk comp =
+  match solve ~k1 ~all_methods apk comp with
+  | None -> true
+  | Some (t, states, _) ->
+      let again = KeyH.create 16 in
+      round t again;
+      (not t.changed)
+      && KeyH.length again = KeyH.length states
+      && KeyH.fold
+           (fun key st ok ->
+             ok
+             &&
+             match KeyH.find_opt again key with
+             | Some st' -> Array.for_all2 equal_state st st'
+             | None -> false)
+           states true

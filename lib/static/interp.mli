@@ -44,13 +44,29 @@ type facts = {
   reads_extra_keys : string list;
       (** extra keys read from the incoming intent *)
   analyzed_methods : int;
+  fixpoint_rounds : int;
+      (** round-robin rounds the fixpoint took, the last one changing
+          nothing *)
 }
 
 val empty_facts : facts
 
+(** Raised when a component's fixpoint has not converged after 1000
+    rounds.  The lattice has finite height, so this bound is an
+    assertion, not a budget: reaching it signals a bug in the analysis,
+    never a result to be used. *)
+exception Diverged of { component : string; rounds : int }
+
 (** Analyze one component.  [k1] selects one-call-site context
     sensitivity (default true); [all_methods] treats every method of the
     component class as a root — i.e. no entry-point reachability pruning,
-    the behaviour of baseline tools. *)
+    the behaviour of baseline tools.  Raises {!Diverged}. *)
 val analyze_component :
   ?k1:bool -> ?all_methods:bool -> Apk.t -> Component.t -> facts
+
+(** Runs the component's fixpoint, then one more round over its final
+    states; [true] when that round changes no global cell and reproduces
+    every method's per-instruction states — a checkable certificate that
+    the result is a fixpoint.  Raises {!Diverged}. *)
+val check_fixpoint :
+  ?k1:bool -> ?all_methods:bool -> Apk.t -> Component.t -> bool

@@ -559,6 +559,37 @@ let test_openmetrics_roundtrip () =
       check "text agrees with the registry's bucket counts" true
         (cumulative = [ 2; 3; 4; 5 ]))
 
+(* AME reports each component's fixpoint round count in the
+   [ame.fixpoint_rounds] histogram and the app's largest one as the
+   [rounds] field of its [ame.extract] log line. *)
+let test_ame_fixpoint_rounds () =
+  with_deterministic_telemetry (fun _tick ->
+      with_log_sink (fun path ->
+          let apk = Separ.Demo.navigation_app () in
+          ignore (Separ_ame.Extract.extract apk);
+          Log.close ();
+          let components =
+            List.length apk.Separ_dalvik.Apk.manifest.Separ_android.Manifest.components
+          in
+          check_int "one observation per component" components
+            (Metrics.histogram_count (Metrics.histogram "ame.fixpoint_rounds"));
+          let extract_lines =
+            List.filter
+              (fun j ->
+                Option.bind (Json.member "event" j) Json.to_str
+                = Some "ame.extract")
+              (List.map Json.parse (read_lines path))
+          in
+          match extract_lines with
+          | [ j ] ->
+              check "rounds field" true
+                (match Json.member "rounds" j with
+                | Some (Json.Int r) -> r >= 1
+                | _ -> false)
+          | l ->
+              Alcotest.failf "expected one ame.extract line, got %d"
+                (List.length l)))
+
 let tests =
   [
     Alcotest.test_case "span nesting (deterministic clock)" `Quick
@@ -581,6 +612,8 @@ let tests =
     Alcotest.test_case "pipeline spans consistent with report" `Quick
       test_pipeline_spans_consistent;
     Alcotest.test_case "log NDJSON envelope" `Quick test_log_ndjson_envelope;
+    Alcotest.test_case "AME fixpoint rounds reported" `Quick
+      test_ame_fixpoint_rounds;
     Alcotest.test_case "log level threshold" `Quick test_log_level_threshold;
     Alcotest.test_case "log rate limiting" `Quick test_log_rate_limit;
     Alcotest.test_case "metrics merge reports bucket mismatches" `Quick

@@ -105,18 +105,23 @@ let filter_antitone_in_categories =
 
 module Absval = Separ_static.Absval
 
+(* Strings come from a pool larger than [Absval.max_strings], and some
+   values start at string top, so joins reach the overflow-to-top path. *)
+let absval_strings = List.init 12 (Printf.sprintf "s%d")
+
 let absval_gen =
   QCheck.Gen.map
-    (fun (strs, sites, taints) ->
+    (fun (top, strs, sites, taints) ->
       List.fold_left
         (fun acc v -> Absval.join acc v)
-        Absval.bot
+        (if top then Absval.str_top else Absval.bot)
         (List.map Absval.of_string strs
         @ List.map Absval.of_site sites
         @ [ Absval.of_taints taints ]))
-    (QCheck.Gen.triple
-       (QCheck.Gen.list_size (QCheck.Gen.int_range 0 3)
-          (QCheck.Gen.oneofl [ "x"; "y"; "z" ]))
+    (QCheck.Gen.quad
+       (QCheck.Gen.map (fun n -> n = 0) (QCheck.Gen.int_bound 4))
+       (QCheck.Gen.list_size (QCheck.Gen.int_range 0 10)
+          (QCheck.Gen.oneofl absval_strings))
        (QCheck.Gen.list_size (QCheck.Gen.int_range 0 3) (QCheck.Gen.int_range 0 5))
        (QCheck.Gen.oneofl
           [ []; [ Resource.Imei ]; [ Resource.Location; Resource.Sms ] ]))
@@ -141,6 +146,18 @@ let absval_bot_identity =
   t "absval bot is identity" absval (fun v ->
       Absval.equal (Absval.join Absval.bot v) v)
 
+let absval_top_absorbs =
+  t "absval string top absorbs" absval (fun v ->
+      let j = Absval.join Absval.str_top v in
+      j.Absval.str_top = Absval.str_top.Absval.str_top
+      && Absval.SS.equal j.Absval.strs Absval.str_top.Absval.strs)
+
+let absval_canonical =
+  t "absval string top is canonical" (QCheck.pair absval absval) (fun (a, b) ->
+      List.for_all
+        (fun v -> (not v.Absval.str_top) || Absval.SS.is_empty v.Absval.strs)
+        [ a; b; Absval.join a b ])
+
 let tests =
   [
     transpose_involution;
@@ -159,4 +176,6 @@ let tests =
     absval_join_commutative;
     absval_join_associative;
     absval_bot_identity;
+    absval_top_absorbs;
+    absval_canonical;
   ]
