@@ -23,7 +23,33 @@ module Trace = Separ_obs.Trace
 module Metrics = Separ_obs.Metrics
 module Log = Separ_obs.Log
 
-let load_apks paths = List.map Separ_dalvik.Apk_text.load paths
+(* Exit status for input files the tool cannot use (an APK text that
+   does not parse, an unreadable file, a bundle directory without APKs):
+   EX_DATAERR of sysexits(3), distinct from cmdliner's 124 (bad command
+   line) and 125 (internal error). *)
+let exit_bad_input = 65
+
+let exits =
+  Cmd.Exit.info exit_bad_input
+    ~doc:"on a malformed or unreadable input file, e.g. an APK text that \
+          does not parse."
+  :: Cmd.Exit.defaults
+
+let bad_input msg =
+  Fmt.epr "separ: bad input: %s@." msg;
+  exit exit_bad_input
+
+(* Load one APK text file, or say which file is bad and why. *)
+let load_apk path =
+  match Separ_dalvik.Apk_text.load path with
+  | apk -> Ok apk
+  | exception (Failure msg | Invalid_argument msg | Sys_error msg) ->
+      Error (path ^ ": " ^ msg)
+
+let load_apk_or_exit path =
+  match load_apk path with Ok apk -> apk | Error e -> bad_input e
+
+let load_apks paths = List.map load_apk_or_exit paths
 
 (* Validating argument converters: [-j 0] or a negative solve budget
    used to be accepted silently and produce undefined downstream
@@ -214,15 +240,15 @@ let print_cache_stats ~cache_stats cache =
 
 (* A positional path may be one APK text file or a directory holding a
    whole bundle of them; directories make [analyze] a multi-bundle run
-   (one independent analysis per directory) that [--shard-bundles] can
-   spread across the worker pool. *)
+   (one independent analysis per directory) whose bundles [-j] spreads
+   across the worker pool. *)
 let bundle_of_dir dir =
   let entries =
     match Sys.readdir dir with
     | entries ->
         Array.sort compare entries;
         Array.to_list entries
-    | exception Sys_error msg -> failwith ("cannot read " ^ dir ^ ": " ^ msg)
+    | exception Sys_error msg -> bad_input ("cannot read " ^ dir ^ ": " ^ msg)
   in
   let apks =
     List.filter_map
@@ -232,7 +258,7 @@ let bundle_of_dir dir =
         else None)
       entries
   in
-  if apks = [] then failwith ("no .apk.txt files in " ^ dir);
+  if apks = [] then bad_input ("no .apk.txt files in " ^ dir);
   load_apks apks
 
 let analyze_cmd =
@@ -267,30 +293,11 @@ let analyze_cmd =
             "Run the analysis in $(docv) persistent worker processes \
              ($(docv) >= 1): the pool forks once and streams task batches \
              to the workers.  With multiple bundles the work is sharded \
-             across bundles first (see $(b,--shard-bundles)), then across \
-             signatures.  Results are merged in order, so output is \
+             across bundles first (each bundle one coarse task, so fork \
+             and transport costs amortize), then across signatures.  \
+             Results are merged in order, so output is \
              identical across $(docv); a crashed worker degrades only its \
              in-flight tasks instead of failing the run.")
-  in
-  let shard_bundles =
-    Arg.(
-      value
-      & vflag true
-          [
-            ( true,
-              info [ "shard-bundles" ]
-                ~doc:
-                  "With multiple bundle directories and $(b,-j) > 1, \
-                   distribute whole bundles across the worker pool (the \
-                   default): each bundle is one coarse task, so fork and \
-                   transport costs amortize and incremental ASE still \
-                   shares one base encoding per bundle." );
-            ( false,
-              info [ "no-shard-bundles" ]
-                ~doc:
-                  "Analyze bundles sequentially, parallelizing only \
-                   across signatures within each bundle." );
-          ])
   in
   let budget_conflicts =
     Arg.(
@@ -312,27 +319,6 @@ let analyze_cmd =
              wall-clock time ($(docv) >= 0); on exhaustion the signature is \
              reported as degraded (budget_exhausted).")
   in
-  let incremental =
-    Arg.(
-      value
-      & vflag true
-          [
-            ( true,
-              info [ "incremental" ]
-                ~doc:
-                  "Share one bundle encoding and solver across the \
-                   signatures of each encoding config (the default): \
-                   per-signature formulas ride on activation-literal \
-                   assumptions and learnt clauses persist.  Results are \
-                   identical to $(b,--no-incremental); only the cost \
-                   differs." );
-            ( false,
-              info [ "no-incremental" ]
-                ~doc:
-                  "Build a fresh encoding and solver for every signature \
-                   (the escape hatch; slower but maximally isolated)." );
-          ])
-  in
   let format =
     Arg.(
       value
@@ -348,8 +334,8 @@ let analyze_cmd =
                 counters (translate-cache and hash-cons hits, reused \
                 clauses, per-signature deltas) to stderr")
   in
-  let run paths out limit jobs shard_bundles budget_conflicts budget_time
-      cache_dir no_cache cache_max_mb cache_stats incremental format stats
+  let run paths out limit jobs budget_conflicts budget_time cache_dir
+      no_cache cache_max_mb cache_stats format stats
       trace metrics log log_level metrics_out profile_gc =
     telemetry_setup ~trace ~metrics ~log ~log_level ~metrics_out ~profile_gc;
     let budget =
@@ -378,16 +364,16 @@ let analyze_cmd =
       | [] ->
           [
             ( None,
-              Separ.analyze ~limit_per_sig:limit ~jobs ?budget ~incremental
-                ?cache (load_apks files) );
+              Separ.analyze ~limit_per_sig:limit ~jobs ?budget ?cache
+                (load_apks files) );
           ]
       | dirs ->
           let bundles = List.map bundle_of_dir dirs in
           List.map2
             (fun dir analysis -> (Some dir, analysis))
             dirs
-            (Separ.analyze_bundles ~limit_per_sig:limit ~jobs ?budget
-               ~incremental ?cache ~shard_bundles bundles)
+            (Separ.analyze_bundles ~limit_per_sig:limit ~jobs ?budget ?cache
+               bundles)
     in
     print_cache_stats ~cache_stats cache;
     (match format with
@@ -434,9 +420,8 @@ let analyze_cmd =
       let sum f = List.fold_left (fun acc d -> acc + f d) 0 deltas in
       let open Separ_ase.Ase in
       Fmt.epr
-        "sharing (%s): translate-cache hits=%d misses=%d hash-cons \
-         hits=%d misses=%d reused-clauses=%d reused-learnts=%d@."
-        (if report.r_incremental then "incremental" else "from-scratch")
+        "sharing: translate-cache hits=%d misses=%d hash-cons hits=%d \
+         misses=%d reused-clauses=%d reused-learnts=%d@."
         (sum (fun d -> d.sd_cache_hits))
         (sum (fun d -> d.sd_cache_misses))
         (sum (fun d -> d.sd_hc_hits))
@@ -466,11 +451,12 @@ let analyze_cmd =
     | None -> ()
   in
   Cmd.v
-    (Cmd.info "analyze" ~doc:"Analyze one or more bundles and synthesize policies")
+    (Cmd.info "analyze" ~exits
+       ~doc:"Analyze one or more bundles and synthesize policies")
     Term.(
-      const run $ paths $ out $ limit $ jobs $ shard_bundles
-      $ budget_conflicts $ budget_time $ cache_dir_arg $ no_cache_arg
-      $ cache_max_mb_arg $ cache_stats_arg $ incremental $ format $ stats
+      const run $ paths $ out $ limit $ jobs $ budget_conflicts
+      $ budget_time $ cache_dir_arg $ no_cache_arg $ cache_max_mb_arg
+      $ cache_stats_arg $ format $ stats
       $ trace_arg $ metrics_arg $ log_arg $ log_level_arg $ metrics_out_arg
       $ profile_gc_arg)
 
@@ -479,12 +465,11 @@ let extract_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"APK")
   in
   let run path =
-    let apk = Separ_dalvik.Apk_text.load path in
-    let model = Separ.Extract.extract apk in
+    let model = Separ.Extract.extract (load_apk_or_exit path) in
     Fmt.pr "%a@." Separ.App_model.pp model
   in
   Cmd.v
-    (Cmd.info "extract" ~doc:"Print the extracted model of one app")
+    (Cmd.info "extract" ~exits ~doc:"Print the extracted model of one app")
     Term.(const run $ path)
 
 let table1_cmd =
@@ -543,7 +528,7 @@ let spec_cmd =
     print_string (Separ_specs.Alloy_pp.bundle_spec bundle)
   in
   Cmd.v
-    (Cmd.info "spec"
+    (Cmd.info "spec" ~exits
        ~doc:"Emit the bundle's formal model as Alloy-style text")
     Term.(const run $ paths)
 
@@ -612,7 +597,7 @@ let enforce_cmd =
     telemetry_finish ~trace ~metrics ~metrics_out ()
   in
   Cmd.v
-    (Cmd.info "enforce"
+    (Cmd.info "enforce" ~exits
        ~doc:"Run a component on a simulated device under a policy store")
     Term.(
       const run $ paths $ policies_file $ start $ consent $ pdp_ipc
@@ -782,7 +767,10 @@ let serve_cmd =
     in
     let print_verdicts () =
       List.iter
-        (fun v -> Fmt.pr "%a@." Separ.Serve.pp_verdict v)
+        (fun v ->
+          match v.Separ.Serve.vd_error with
+          | None -> Fmt.pr "%a@." Separ.Serve.pp_verdict v
+          | Some _ -> Fmt.epr "serve: %a@." Separ.Serve.pp_verdict v)
         (Separ.Serve.drain serve)
     in
     let split line =
@@ -803,13 +791,11 @@ let serve_cmd =
           else
             match split line with
             | "upload", Some path ->
-                (match Separ_dalvik.Apk_text.load path with
-                | apk ->
+                (match load_apk path with
+                | Ok apk ->
                     Separ.Serve.submit serve (Separ.Serve.Upload apk);
                     print_verdicts ()
-                | exception exn ->
-                    Fmt.epr "serve: upload %s failed: %s@." path
-                      (Printexc.to_string exn));
+                | Error e -> Fmt.epr "serve: upload failed: %s@." e);
                 loop ()
             | "remove", Some pkg ->
                 Separ.Serve.submit serve (Separ.Serve.Remove pkg);

@@ -8,7 +8,13 @@
     a fork-based worker pool ([jobs]); per-signature solve budgets and
     worker-crash isolation degrade a pathological signature to a
     recorded {!degraded} entry instead of hanging or aborting the
-    analysis. *)
+    analysis.
+
+    Signatures that share an encoding config share one solver: the
+    bundle encoding is translated once and each signature rides on an
+    activation-literal delta session.  The from-scratch path
+    ({!run_signature}, {!analyze_reference}) is kept only as the oracle
+    that tests and bench gates compare {!analyze} against. *)
 
 open Separ_ame
 open Separ_specs
@@ -39,8 +45,8 @@ type sig_result = {
 }
 
 (** What one signature cost on top of the state its solver already held:
-    for an incremental delta session the numbers are genuine increments
-    over the shared base; for a from-scratch session they cover the
+    for a delta session the numbers are genuine increments over the
+    shared base; for a from-scratch reference session they cover the
     whole problem (and [sd_reused_*] are 0). *)
 type sig_delta = {
   sd_kind : string;        (** signature name *)
@@ -69,10 +75,10 @@ type report = {
   r_clauses : int;
   r_solver : Separ_sat.Solver.stats_record;
       (** CDCL counters (conflicts, learnt-db reductions, minimized
-          literals, ...) aggregated over all signatures.  In incremental
-          mode the aggregate is over the shared per-config solvers, not
-          per-signature sums (which would double-count the base). *)
-  r_incremental : bool;  (** whether the shared-solver path was used *)
+          literals, ...) aggregated over all signatures.  For
+          {!analyze} the aggregate is over the shared per-config
+          solvers, not per-signature sums (which would double-count the
+          base). *)
   r_sig_deltas : sig_delta list;  (** per signature, in signature order *)
   r_cache : (string * int) list;
       (** persistent-cache counters (per-tier hits/misses, stores,
@@ -83,10 +89,12 @@ type report = {
 (** The device components implicated in a scenario. *)
 val victim_components : Bundle.t -> Scenario.t -> string list
 
-(** Run one signature.  [limit] caps enumeration (default
-    {!Separ_relog.Solve.default_enum_limit}); [budget] bounds the
-    signature's whole solver session — on exhaustion the scenarios found
-    so far are kept and the result is marked [Budget_exhausted]. *)
+(** Run one signature from scratch, on a fresh encoding and a fresh
+    solver — the reference path; {!analyze} never takes it.  [limit]
+    caps enumeration (default {!Separ_relog.Solve.default_enum_limit});
+    [budget] bounds the signature's whole solver session — on exhaustion
+    the scenarios found so far are kept and the result is marked
+    [Budget_exhausted]. *)
 val run_signature :
   ?limit:int ->
   ?budget:Separ_sat.Solver.budget ->
@@ -102,43 +110,46 @@ val run_signature :
     identical across [jobs] values for deterministic signatures.
     [budget] applies per signature, not to the whole analysis.
 
-    [incremental] (default [true]) shares one solver among the
-    signatures of each encoding config within a worker's shard: the
-    bundle encoding is translated once, each signature rides on an
-    activation-literal delta session, and learnt clauses persist.
+    Signatures are split into [jobs] contiguous shards; within a shard
+    the signatures of each encoding config share one solver (the bundle
+    encoding is translated once, each signature rides on an
+    activation-literal delta session, and learnt clauses persist).
     Minimization is canonical, so {!strip_performance} of the report is
-    byte-identical to the [~incremental:false] from-scratch path. *)
+    byte-identical to {!analyze_reference}'s. *)
 val analyze :
   ?signatures:Signatures.t list ->
   ?limit_per_sig:int ->
   ?jobs:int ->
   ?budget:Separ_sat.Solver.budget ->
-  ?incremental:bool ->
   ?cache:Separ_cache.Store.t ->
   Bundle.t ->
   report
 
+(** The from-scratch oracle for {!analyze}: every signature in-process
+    via {!run_signature} (fresh encoding, fresh solver), merged into a
+    report the same way.  Not a production path — tests and bench gates
+    check {!analyze} against it and use its per-signature costs as the
+    no-sharing baseline. *)
+val analyze_reference :
+  ?signatures:Signatures.t list -> ?limit_per_sig:int -> Bundle.t -> report
+
 (** Analyze several independent bundles on one worker pool, sharding
-    across {e bundles} first and signatures second.  With
-    [shard_bundles] (the default) and [jobs > 1], each bundle becomes
-    one pool task — one fork set, persistent across batched tasks,
-    serves the whole run — and leftover parallelism
-    ([jobs / #bundles], at least 1) becomes signature sharding inside
-    each worker, so incremental ASE still shares one base encoding per
-    config within every bundle.  Reports come back in bundle order and
-    are byte-identical (stripped) to per-bundle [-j 1] runs; a worker
-    death degrades only its in-flight bundles, each to a report with
-    every signature marked [worker_crashed].  With
-    [~shard_bundles:false] bundles are analyzed sequentially, each with
-    signature-axis sharding at [jobs]. *)
+    across {e bundles} first and signatures second.  With [jobs > 1]
+    and more than one bundle, each bundle becomes one pool task — one
+    fork set, persistent across batched tasks, serves the whole run —
+    and leftover parallelism ([jobs / #bundles], at least 1) becomes
+    signature sharding inside each worker, so every bundle still shares
+    one base encoding per config.  Otherwise bundles are analyzed one
+    after another, each at [jobs].  Reports come back in bundle order
+    and are byte-identical (stripped) to per-bundle [-j 1] runs; a
+    worker death degrades only its in-flight bundles, each to a report
+    with every signature marked [worker_crashed]. *)
 val analyze_many :
   ?signatures:Signatures.t list ->
   ?limit_per_sig:int ->
   ?jobs:int ->
   ?budget:Separ_sat.Solver.budget ->
-  ?incremental:bool ->
   ?cache:Separ_cache.Store.t ->
-  ?shard_bundles:bool ->
   Bundle.t list ->
   report list
 
@@ -155,8 +166,8 @@ val ase_cache_tier : string
 val signature_fingerprint : ?limit:int -> Bundle.t -> Signatures.t -> string
 
 (** Zero out every field describing {e how} the analysis ran (timings,
-    solver sizes and counters, per-signature deltas, the incremental
-    flag), keeping only what it found — for comparing analysis results
+    solver sizes and counters, per-signature deltas, cache counters),
+    keeping only what it found — for comparing analysis results
     across execution strategies. *)
 val strip_performance : report -> report
 

@@ -44,12 +44,12 @@ let h_swap_latency =
 (* How the hook consults the PDP.
    [Compiled] (default): the in-process compiled decision structure —
    one event view, single-pass send+receive evaluation, no marshalling.
-   [Reference]: the uncompiled single-pass scan over the store, same
-   view sharing; the oracle the compiled path is tested against.
    [Ipc]: the paper's deployed architecture — the event is marshalled
    across the PDP process boundary and back (counted in
-   [policy.serializations]); RQ4's overhead story. *)
-type pdp_mode = Compiled | Reference | Ipc
+   [policy.serializations]) and decided there by the uncompiled scan
+   over the store; RQ4's overhead story, and the oracle the compiled
+   path is tested against. *)
+type pdp_mode = Compiled | Ipc
 
 (* The PDP state the hook consults, as ONE immutable snapshot: the hook
    reads [t.pdp] exactly once per check, so a concurrent
@@ -546,7 +546,6 @@ and deliver_one ctx icc (o : Value.intent_obj) (rapk : Apk.t)
       let consult () =
         match t.pdp_mode with
         | Compiled -> Compile.decide_full pdp.pd_compiled ev
-        | Reference -> Policy.decide_both pdp.pd_policies ev
         | Ipc -> Policy.decide_remote pdp.pd_policies ev
       in
       let decision =

@@ -42,11 +42,12 @@ val swap_policies : ?analyzed:string list -> t -> Policy.t list -> unit
 
 (** How the PEP hook consults the PDP: [Compiled] (default) uses the
     in-process compiled decision structure with single-pass
-    send+receive evaluation and zero marshalling; [Reference] is the
-    uncompiled single-pass scan (the testing oracle); [Ipc] marshals
-    the event across the PDP process boundary both ways (the paper's
-    deployed architecture, counted in [policy.serializations]). *)
-type pdp_mode = Compiled | Reference | Ipc
+    send+receive evaluation and zero marshalling; [Ipc] marshals the
+    event across the PDP process boundary both ways (the paper's
+    deployed architecture, counted in [policy.serializations]) and
+    decides it there with the uncompiled single-pass scan — the oracle
+    the compiled path is tested against. *)
+type pdp_mode = Compiled | Ipc
 
 val set_pdp_mode : t -> pdp_mode -> unit
 val pdp_mode : t -> pdp_mode

@@ -682,9 +682,10 @@ let add_clause_arr t a =
 let add_clause t lits = add_clause_arr t (Array.of_list lits)
 
 (* Activation-literal support for assumption-guarded temporary clauses
-   (used by {!Models.minimize}).  At most one activation variable is live;
-   retiring it adds the unit clause [-act], permanently satisfying every
-   clause it guards, and the next acquisition allocates a fresh one. *)
+   (used by [Solve.attach] for ASE delta sessions).  At most one
+   activation variable is live; retiring it adds the unit clause [-act],
+   permanently satisfying every clause it guards, and the next
+   acquisition allocates a fresh one. *)
 let activation_var t =
   if t.act_live = 0 then t.act_live <- new_var t;
   t.act_live

@@ -16,7 +16,7 @@
 
    Dispatch rides the existing machinery end to end: extraction and
    verdicts read through the persistent cache, each scope bundle gets
-   incremental shared-base ASE, and multi-bundle events fan out over
+   shared-base ASE, and multi-bundle events fan out over
    the persistent worker pool ([jobs]). *)
 
 open Separ_ame
@@ -47,6 +47,7 @@ type verdict = {
   vd_analyzed : int;
   vd_vulnerabilities : int;
   vd_latency_ms : float;
+  vd_error : string option; (* rejected event: nothing was changed *)
 }
 
 type t = {
@@ -139,8 +140,9 @@ let analyze_scopes t pkgs =
   List.iter2 (fun pkg r -> Hashtbl.replace t.reports pkg r) pkgs reports
 
 (* Process one event against the live store: update models and index,
-   select the candidate set, dispatch only those scope bundles. *)
-let process t event =
+   select the candidate set, dispatch only those scope bundles.  The
+   event is known to be applicable (see [process]). *)
+let apply t event =
   let t0 = Unix.gettimeofday () in
   let kind, pkg, affected =
     match event with
@@ -173,16 +175,11 @@ let process t event =
           ~attrs:
             [ Trace.attr_str "kind" "remove"; Trace.attr_str "package" pkg ]
           (fun () ->
-            let affected =
-              match Smap.find_opt pkg t.models with
-              | Some old ->
-                  let reach = Index.affected t.index old in
-                  Index.remove t.index old;
-                  t.models <- Smap.remove pkg t.models;
-                  Hashtbl.remove t.reports pkg;
-                  reach
-              | None -> Pkgs.empty
-            in
+            let old = Smap.find pkg t.models in
+            let affected = Index.affected t.index old in
+            Index.remove t.index old;
+            t.models <- Smap.remove pkg t.models;
+            Hashtbl.remove t.reports pkg;
             Metrics.incr c_removes;
             ("remove", pkg, affected))
   in
@@ -225,7 +222,34 @@ let process t event =
     vd_analyzed = List.length candidates;
     vd_vulnerabilities = vulnerabilities;
     vd_latency_ms = latency_ms;
+    vd_error = None;
   }
+
+(* Reject an event that cannot apply — removing a package the store
+   does not hold — before it touches the store, index, reports or
+   counters; otherwise [apply] it. *)
+let process t event =
+  match event with
+  | Remove pkg when not (Smap.mem pkg t.models) ->
+      let reason = "package not in the store" in
+      Log.warn "serve.rejected"
+        ~fields:
+          [
+            ("package", Trace.Str pkg);
+            ("event", Trace.Str "remove");
+            ("reason", Trace.Str reason);
+          ];
+      {
+        vd_package = pkg;
+        vd_event = "remove";
+        vd_store_size = Smap.cardinal t.models;
+        vd_candidates = [];
+        vd_analyzed = 0;
+        vd_vulnerabilities = 0;
+        vd_latency_ms = 0.0;
+        vd_error = Some reason;
+      }
+  | _ -> apply t event
 
 let submit t event = Queue.add event t.queue
 let pending t = Queue.length t.queue
@@ -254,7 +278,9 @@ let rebuilt_index t = Index.rebuild (List.map snd (Smap.bindings t.models))
 let index t = t.index
 
 let pp_verdict ppf v =
-  Fmt.pf ppf
-    "%s %s: %d vulnerabilities (%d/%d bundles analyzed, %.1f ms)"
-    v.vd_event v.vd_package v.vd_vulnerabilities v.vd_analyzed
-    v.vd_store_size v.vd_latency_ms
+  match v.vd_error with
+  | Some reason -> Fmt.pf ppf "%s %s failed: %s" v.vd_event v.vd_package reason
+  | None ->
+      Fmt.pf ppf "%s %s: %d vulnerabilities (%d/%d bundles analyzed, %.1f ms)"
+        v.vd_event v.vd_package v.vd_vulnerabilities v.vd_analyzed
+        v.vd_store_size v.vd_latency_ms

@@ -28,6 +28,10 @@ type verdict = {
   vd_analyzed : int;       (** scope bundles dispatched (= candidates) *)
   vd_vulnerabilities : int;     (** in the subject app's fresh report *)
   vd_latency_ms : float;   (** event intake → verdict stored *)
+  vd_error : string option;
+      (** [Some reason] when the event was rejected (removing a package
+          the store does not hold); the store, index, reports and
+          [serve.*] counters are then unchanged *)
 }
 
 type t
@@ -44,7 +48,9 @@ val create :
 val submit : t -> event -> unit
 val pending : t -> int
 
-(** Process every queued event in order; one verdict per event. *)
+(** Process every queued event in order; one verdict per event.  A
+    rejected event yields a verdict with [vd_error] set and does not
+    stop the queue. *)
 val drain : t -> verdict list
 
 val store_size : t -> int

@@ -248,10 +248,20 @@ let test_obs_survives_midbatch_crash () =
       Metrics.reset ();
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
+      (* Task 0 holds its worker until a later batch has started.  With
+         the other worker dead from task 1, only a replacement can start
+         one, so the parent must reap the crash and respawn while
+         batches 2-4 provably remain; otherwise the surviving worker
+         could drain the queue before the parent noticed the death, and
+         no respawn would be needed.  The wait is bounded so a pool that
+         never respawns fails the check below instead of hanging. *)
+      let started_r, started_w = Unix.pipe () in
       let tasks =
         List.init 5 (fun i () ->
             if i = 1 then Unix._exit 11
             else begin
+              if i = 0 then ignore (Unix.select [ started_r ] [] [] 10.0)
+              else ignore (Unix.write_substring started_w "x" 0 1);
               Log.info "test.crash_log" ~fields:[ ("i", Trace.Int i) ];
               Trace.with_span "test.crash_span" (fun () ->
                   ignore
@@ -260,6 +270,8 @@ let test_obs_survives_midbatch_crash () =
             end)
       in
       let results = Pool.run ~jobs:2 ~batch:1 tasks in
+      Unix.close started_r;
+      Unix.close started_w;
       let failed, completed =
         List.partition (function Pool.Failed _ -> true | _ -> false) results
       in

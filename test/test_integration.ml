@@ -288,15 +288,16 @@ let test_parallel_matches_sequential () =
     [ 2; 4 ]
 
 let test_incremental_matches_scratch () =
-  (* The incremental (shared-encoding) path must produce byte-identical
-     reports — not just the same scenario keys — to the from-scratch
-     path once performance fields are stripped, at any pool width. *)
+  (* The shared-encoding path must produce byte-identical reports — not
+     just the same scenario keys — to the from-scratch reference
+     (run_signature per signature) once performance fields are stripped,
+     at any pool width. *)
   let bundle = Bundle.of_models (List.map Extract.extract (demo_apks ())) in
   let render report =
     Separ_report.Report.to_string ~report:(Ase.strip_performance report)
       ~policies:[] ()
   in
-  let scratch = Ase.analyze ~incremental:false bundle in
+  let scratch = Ase.analyze_reference bundle in
   check "scratch finds vulnerabilities" true
     (scratch.Ase.r_vulnerabilities <> []);
   check "scratch path reuses nothing" true
@@ -307,7 +308,6 @@ let test_incremental_matches_scratch () =
   List.iter
     (fun jobs ->
       let inc = Ase.analyze ~jobs bundle in
-      check "incremental flag reported" true inc.Ase.r_incremental;
       (* The first signature on each fresh base starts from that base's
          clause count (possibly 0 when the base compiles to bounds and
          units only); later attaches on the same base must see the
@@ -413,9 +413,7 @@ let test_bundle_sharding_matches_sequential () =
     (List.exists (fun s -> s <> "") baseline);
   List.iter
     (fun jobs ->
-      let sharded =
-        Ase.analyze_many ~jobs ~shard_bundles:true bundles
-      in
+      let sharded = Ase.analyze_many ~jobs bundles in
       check_int
         (Printf.sprintf "one report per bundle at -j %d" jobs)
         (List.length bundles) (List.length sharded);

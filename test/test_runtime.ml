@@ -756,8 +756,8 @@ let blocked_by effects =
     effects
 
 (* The same traffic must produce identical enforcement effects whether
-   the hook consults the compiled matcher, the uncompiled reference
-   scan, or the marshalling IPC path. *)
+   the hook consults the compiled matcher or the marshalling IPC path
+   (which decides with the uncompiled scan). *)
 let test_pdp_modes_equivalent () =
   let pair = sender_receiver_apks ~explicit:false ~receiver_perm:None in
   let run mode =
@@ -773,8 +773,6 @@ let test_pdp_modes_equivalent () =
       (List.map (Fmt.str "%a" Effect.pp) (Device.effects d))
   in
   let compiled = run Device.Compiled in
-  check "reference mode matches compiled" true
-    (String.equal compiled (run Device.Reference));
   check "IPC mode matches compiled" true
     (String.equal compiled (run Device.Ipc));
   check "the decision fired" true
@@ -852,8 +850,6 @@ let test_hook_serialization_ledger () =
   let ser = Metrics.counter "policy.serializations" in
   run Device.Compiled;
   check_int "compiled hook marshals nothing" 0 (Metrics.counter_value ser);
-  run Device.Reference;
-  check_int "reference hook marshals nothing" 0 (Metrics.counter_value ser);
   run Device.Ipc;
   check "IPC hook pays marshalling" true (Metrics.counter_value ser > 0);
   check "hook checks were counted" true

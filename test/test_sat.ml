@@ -115,7 +115,7 @@ let test_minimize_properties () =
     let r = Solver.solve s in
     if r = Solver.Sat then begin
       let soft = List.init nv (fun i -> i + 1) in
-      let trues = Models.minimize s ~soft in
+      let trues = Models.minimize_lex s ~soft in
       check "minimized model valid" true
         (Reference.check_model (Solver.model s) clauses);
       (* minimality: removing any true var while keeping the others'
@@ -297,20 +297,6 @@ let test_enumeration_reduction_invariant () =
       (canon reduced)
   done
 
-let test_minimize_activation_reuse () =
-  (* one activation variable per minimize call, all retired at the end *)
-  let s = Solver.create () in
-  Solver.add_clause s [ 1; 2 ];
-  Solver.add_clause s [ 3; 4 ];
-  let models = Models.enumerate_minimal s ~soft:[ 1; 2; 3; 4 ] in
-  check "several scenarios" true (List.length models >= 2);
-  let live, retired = Solver.activation_counts s in
-  check_int "no live activation var" 0 live;
-  check "at most one retirement per scenario" true
-    (retired <= List.length models);
-  check_int "only activation vars were allocated" (4 + retired)
-    (Solver.n_vars s)
-
 (* n-pigeon / (n-1)-hole clauses: small but conflict-rich unsat input
    for the budget tests. *)
 let pigeonhole_clauses n =
@@ -353,7 +339,7 @@ let test_budget_exhausted_on_entry () =
 
 let test_minimize_budget_fallback () =
   (* With no budget the minimum here is one true variable per clause;
-     with an exhausted budget, minimize must fall back to *some* valid
+     with an exhausted budget, minimize_lex must fall back to *some* valid
      model of the soft set rather than fail. *)
   let s = Solver.create () in
   Solver.add_clause s [ 1; 2; 3 ];
@@ -361,16 +347,16 @@ let test_minimize_budget_fallback () =
   check "sat" true (Solver.solve s = Solver.Sat);
   let soft = [ 1; 2; 3; 4; 5 ] in
   let budget = { Solver.b_max_conflicts = Some 0; b_max_time_ms = None } in
-  let trues = Models.minimize ~budget s ~soft in
+  let trues = Models.minimize_lex ~budget s ~soft in
   check "fallback model established" true
     (List.for_all (fun v -> Solver.value s v) trues);
   check "fallback satisfies clause 1" true
     (List.exists (fun v -> List.mem v trues) [ 1; 2; 3 ]);
   check "fallback satisfies clause 2" true
     (List.exists (fun v -> List.mem v trues) [ 4; 5 ]);
-  (* an unbudgeted minimize from here still reaches a true minimum *)
+  (* an unbudgeted minimize_lex from here still reaches a true minimum *)
   check "resat" true (Solver.solve s = Solver.Sat);
-  let minimal = Models.minimize s ~soft in
+  let minimal = Models.minimize_lex s ~soft in
   check_int "true minimum found without budget" 2 (List.length minimal)
 
 (* Propagation-cascade chains: chain [c] owns variables x_1..x_N (offset
@@ -884,8 +870,6 @@ let tests =
       test_reduce_db_keeps_antecedents;
     Alcotest.test_case "enumeration invariant under reduction" `Slow
       test_enumeration_reduction_invariant;
-    Alcotest.test_case "minimize reuses activation literal" `Quick
-      test_minimize_activation_reuse;
     Alcotest.test_case "differential vs reference" `Slow test_differential;
     Alcotest.test_case "minimize properties" `Slow test_minimize_properties;
     Alcotest.test_case "enumerate minimal" `Quick test_enumerate_minimal;

@@ -7,6 +7,7 @@ open Separ
 module Serve = Separ_serve.Serve
 module Index = Separ_serve.Index
 module App_model = Separ_ame.App_model
+module Metrics = Separ_obs.Metrics
 module B = Builder
 
 let check = Alcotest.(check bool)
@@ -438,6 +439,62 @@ let test_serve_remove () =
   check "index hot update = rebuild after remove" true
     (Index.equal (Serve.index serve) (Serve.rebuilt_index serve))
 
+(* Removing a package the store never held is a rejected event: its
+   verdict carries the error, and the store, index, reports and serve
+   counters are exactly those of a daemon that never saw the event,
+   which keeps serving. *)
+let test_serve_remove_absent () =
+  let apks = [ Demo.navigation_app (); Demo.relay_malware () ] in
+  let fresh () =
+    let serve = Serve.create () in
+    List.iter (fun apk -> Serve.submit serve (Serve.Upload apk)) apks;
+    ignore (Serve.drain serve : Serve.verdict list);
+    serve
+  in
+  let control = fresh () in
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.reset ();
+      Metrics.disable ())
+    (fun () ->
+      let serve = fresh () in
+      let counters () =
+        List.map
+          (fun name -> Metrics.counter_value (Metrics.counter name))
+          [
+            "serve.uploads"; "serve.removes"; "serve.bundles_selected";
+            "serve.bundles_skipped";
+          ]
+      in
+      let before = counters () in
+      Serve.submit serve (Serve.Remove "com.never.uploaded");
+      (match Serve.drain serve with
+      | [ v ] ->
+          check "remove of an absent package is rejected" true
+            (v.Serve.vd_error <> None);
+          check_int "nothing dispatched" 0 v.Serve.vd_analyzed;
+          Alcotest.(check string)
+            "verdict line names the failure"
+            "remove com.never.uploaded failed: package not in the store"
+            (Fmt.str "%a" Serve.pp_verdict v)
+      | vs -> Alcotest.failf "expected one verdict, got %d" (List.length vs));
+      Alcotest.(check (list int)) "serve counters unchanged" before
+        (counters ());
+      Alcotest.(check (list string))
+        "store unchanged" (Serve.packages control) (Serve.packages serve);
+      check "index unchanged" true
+        (Index.equal (Serve.index control) (Serve.index serve));
+      check "reports unchanged" true
+        (stripped_reports control = stripped_reports serve);
+      (* the daemon keeps serving *)
+      Serve.submit serve (Serve.Remove "com.mal.relay");
+      match Serve.drain serve with
+      | [ v ] ->
+          check "a later remove succeeds" true (v.Serve.vd_error = None);
+          check_int "store shrank" 1 (Serve.store_size serve)
+      | vs -> Alcotest.failf "expected one verdict, got %d" (List.length vs))
+
 (* Upload events drain through the persistent cache: a second store fed
    the same apps through the same cache directory reproduces the same
    reports (and re-extracts nothing). *)
@@ -472,6 +529,8 @@ let tests =
     Alcotest.test_case "selective = full repair (upload)" `Quick
       test_serve_selective_matches_full_repair;
     Alcotest.test_case "remove event" `Quick test_serve_remove;
+    Alcotest.test_case "remove of an absent package is rejected" `Quick
+      test_serve_remove_absent;
     Alcotest.test_case "serve through the persistent cache" `Quick
       test_serve_with_cache;
   ]
