@@ -134,7 +134,10 @@ let parse text : Apk.t =
           ())
       !comp_order
   in
-  let classes = Asm.assemble (Buffer.contents class_lines) in
+  let classes =
+    try Asm.assemble (Buffer.contents class_lines)
+    with Asm.Parse_error msg -> failwith ("Apk_text.parse: " ^ msg)
+  in
   Apk.make
     ~manifest:
       (Manifest.make ~package ~uses_permissions:(List.rev !perms) ~components

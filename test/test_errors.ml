@@ -67,6 +67,19 @@ let test_apk_text_unknown_line () =
     (raises_failure (fun () ->
          Separ_dalvik.Apk_text.parse ".package p\n.frobnicate x\n"))
 
+(* A malformed class body must surface as [Failure], the one exception
+   [Apk_text.parse] documents, not as the assembler's [Parse_error]. *)
+let test_apk_text_bad_class_body () =
+  match
+    Separ_dalvik.Apk_text.parse
+      ".package p\n.class C\n.method m params=0 regs=1\n  frobnicate v0\n.end\n"
+  with
+  | _ -> Alcotest.fail "malformed class body parsed"
+  | exception Failure msg ->
+      check "message names the parser" true
+        (String.starts_with ~prefix:"Apk_text.parse: unrecognised instruction"
+           msg)
+
 (* --- policies -------------------------------------------------------------------- *)
 
 let test_policy_bad_line () =
@@ -168,6 +181,8 @@ let tests =
     Alcotest.test_case "apk text: bad kind" `Quick test_apk_text_bad_kind;
     Alcotest.test_case "apk text: unknown directive" `Quick
       test_apk_text_unknown_line;
+    Alcotest.test_case "apk text: bad class body" `Quick
+      test_apk_text_bad_class_body;
     Alcotest.test_case "policy: malformed lines" `Quick test_policy_bad_line;
     Alcotest.test_case "ast: arity errors" `Quick test_ast_arity_errors;
     Alcotest.test_case "bounds: errors" `Quick test_bounds_errors;
